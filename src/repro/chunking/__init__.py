@@ -14,7 +14,13 @@ from .fastcdc import FastCDCChunker
 from .fingerprint import DEFAULT_FINGERPRINTER, Fingerprinter, sha1_fingerprint
 from .fixed import FixedChunker
 from .rabin import RabinChunker
-from .stream import BackupStream, Chunk, concat_stream_bytes, synthetic_fingerprint
+from .stream import (
+    BackupStream,
+    Chunk,
+    LazyBackupStream,
+    concat_stream_bytes,
+    synthetic_fingerprint,
+)
 from .tttd import TTTDChunker
 
 __all__ = [
@@ -26,6 +32,7 @@ __all__ = [
     "FastCDCChunker",
     "Fingerprinter",
     "FixedChunker",
+    "LazyBackupStream",
     "RabinChunker",
     "TTTDChunker",
     "concat_stream_bytes",

@@ -103,6 +103,48 @@ class BackupStream:
         )
 
 
+class LazyBackupStream(BackupStream):
+    """A single-pass :class:`BackupStream` over a live chunk iterator.
+
+    Lets a backup consume chunking output as it is produced instead of
+    materializing every chunk first.  Iterating twice (or asking for
+    ``len``/``chunks`` after iteration started) is a programming error and
+    raises, rather than silently yielding nothing.
+    """
+
+    def __init__(self, chunks: Iterator[Chunk], tag: str = "") -> None:
+        self._iterator = chunks
+        self._consumed = False
+        self.tag = tag
+
+    def __iter__(self) -> Iterator[Chunk]:
+        if self._consumed:
+            raise RuntimeError("LazyBackupStream can only be iterated once")
+        self._consumed = True
+        return self._iterator
+
+    def _materialized(self):
+        raise RuntimeError(
+            "LazyBackupStream is single-pass; build a BackupStream from a "
+            "chunk list when random access or re-iteration is needed"
+        )
+
+    def __len__(self) -> int:
+        # TypeError, not RuntimeError: list(stream) probes len() for a size
+        # hint and only a TypeError tells it "no length" instead of failing.
+        raise TypeError(
+            "LazyBackupStream is single-pass and has no length; build a "
+            "BackupStream from a chunk list for a sized stream"
+        )
+
+    def __getitem__(self, idx: int) -> Chunk:
+        self._materialized()
+
+    @property
+    def chunks(self):
+        self._materialized()
+
+
 def _mix64(value: int) -> int:
     """splitmix64 finalizer: a cheap, high-quality 64-bit mixer."""
     z = (value + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF

@@ -75,7 +75,6 @@ _LOCAL_ONLY_DEFAULTS = {
     "history_depth": 1,
     "compress": False,
     "workers": 1,
-    "pipeline": False,
 }
 
 
@@ -119,23 +118,41 @@ def _open_target(args: argparse.Namespace, **local_kwargs):
 
         _reject_local_flags("--remote", local_kwargs)
         return RemoteRepository(args.remote, args.repo)
+    # Locally, --workers sizes the ingest pool the caller already opened.
+    local_kwargs.pop("workers", None)
     return LocalRepository(args.repo, **local_kwargs)
 
 
 def cmd_backup(args: argparse.Namespace) -> int:
-    """Chunk, deduplicate and store a directory snapshot."""
+    """Chunk, deduplicate and store a directory snapshot.
+
+    ``--workers N > 1`` chunks on a :class:`~repro.engine.SharedChunkPool`
+    opened for this command — the segmented path ``serve
+    --ingest-workers`` runs — so the recipes equal the serial ones.
+    """
     entries = read_tree(args.source)
     if not entries:
         print(f"error: no files under {args.source}", file=sys.stderr)
         return 1
-    repo = _open_target(
-        args,
-        history_depth=args.history_depth,
-        compress=args.compress,
-        workers=args.workers,
-        pipeline=args.pipeline,
-    )
-    report = repo.backup_tree(entries, tag=args.tag or "")
+    pool = None
+    if args.workers > 1 and not (args.remote or args.cluster):
+        from .engine import SharedChunkPool, sweep_orphaned_segments
+
+        # Reclaim /dev/shm slabs a SIGKILL'd backup left behind.
+        sweep_orphaned_segments()
+        pool = SharedChunkPool(args.workers)
+    try:
+        repo = _open_target(
+            args,
+            history_depth=args.history_depth,
+            compress=args.compress,
+            workers=args.workers,
+            ingest_pool=pool,
+        )
+        report = repo.backup_tree(entries, tag=args.tag or "")
+    finally:
+        if pool is not None:
+            pool.close()
     print(
         f"backed up version {report['version_id']}: "
         f"{report['total_chunks']} chunks, "
@@ -805,14 +822,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--compress", action="store_true",
                    help="zlib-compress container files on disk")
     p.add_argument("--workers", type=_positive_int, default=1,
-                   help="parallel chunking/fingerprinting workers; with "
-                        "more than one, files are chunked independently "
-                        "(boundaries reset at file edges), so switching "
-                        "worker counts mid-repository re-stores edge chunks")
-    p.add_argument("--pipeline", action="store_true",
-                   help="overlap container writes and filter maintenance "
-                        "with ingest (the paper's §5.4 pipeline); implies "
-                        "per-file chunking like --workers > 1")
+                   help="parallel chunking/fingerprinting worker processes; "
+                        "the stream is cut into fixed 4 MiB segments either "
+                        "way, so any worker count stores byte-identical "
+                        "recipes and dedups exactly like the serial path")
     _add_remote_flag(p)
     _add_cluster_flag(p)
     p.set_defaults(func=cmd_backup)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import threading
 import time
 from itertools import islice
-from typing import TYPE_CHECKING, List, Optional
+from typing import List, Optional
 
 from ..chunking.stream import BackupStream
 from ..errors import ReproError, RestoreError, VersionNotFoundError
@@ -39,12 +39,9 @@ from .deletion import DeletionManager, DeletionStats
 from .double_cache import BATCH_DUPLICATE, DoubleHashCache
 from .recipe_chain import RecipeChain
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..engine.maintenance import MaintenanceExecutor
-
-#: Chunks classified per lock acquisition: small enough that a background
-#: maintenance executor interleaves at fine grain, large enough that the
-#: lock overhead is invisible on the hot path.
+#: Chunks classified per lock acquisition: small enough that concurrent
+#: restores and stats interleave with a running backup at fine grain,
+#: large enough that the lock overhead is invisible on the hot path.
 _CLASSIFY_BATCH = 1024
 
 
@@ -77,14 +74,6 @@ class HiDeStore(RestoreMixin):
             (0 disables).  The paper flattens "periodically ... before
             restoring"; a nonzero period keeps old-version restore latency
             bounded without waiting for a restore request.
-        maintenance_executor: a background
-            :class:`~repro.engine.maintenance.MaintenanceExecutor`.  With
-            ``deferred_maintenance=True`` the queued demotion/compaction
-            work is then *actually asynchronous*: it runs on the executor's
-            worker thread while the next version is being chunked and
-            fingerprinted, instead of waiting for :meth:`run_maintenance`.
-            :meth:`run_maintenance` (called automatically before restores,
-            deletions, retirement and checkpoints) is the drain barrier.
     """
 
     def __init__(
@@ -98,7 +87,6 @@ class HiDeStore(RestoreMixin):
         lookup_unit_bytes: int = 4096,
         deferred_maintenance: bool = False,
         flatten_every: int = 0,
-        maintenance_executor: Optional["MaintenanceExecutor"] = None,
     ) -> None:
         self.io = IOStats()
         self.containers = (
@@ -120,7 +108,6 @@ class HiDeStore(RestoreMixin):
         self.deferred_maintenance = deferred_maintenance
         self.flatten_every = max(0, flatten_every)
         self._pending_maintenance: List = []  # (previous_version, cold residue)
-        self._maintenance_executor = maintenance_executor
         self._lock = threading.Lock()  # guards cache/pool/chain/deletion state
         self._next_version = 1
         self._retired = False
@@ -133,11 +120,8 @@ class HiDeStore(RestoreMixin):
         """Deduplicate and store one backup version.
 
         The stream is consumed in batches, each classified under the
-        internal lock; between batches a background maintenance executor
-        (see ``maintenance_executor``) may interleave the previous
-        version's demotion/compaction — the paper's §5.4 pipeline.  A lazy
-        (pipelined) stream therefore overlaps chunking + fingerprinting
-        with both classification and filter maintenance.
+        internal lock, so a lazy stream overlaps chunking + fingerprinting
+        with classification — the paper's §5.4 pipeline.
 
         ``report.containers_written`` counts the archival containers
         written synchronously by *this* call (demotion/compaction inline,
@@ -222,7 +206,7 @@ class HiDeStore(RestoreMixin):
             previous = version_id - self.history_depth
             if previous >= 1:
                 if self.deferred_maintenance:
-                    self._queue_maintenance(previous, cold)
+                    self._pending_maintenance.append((previous, cold))
                 else:
                     self._apply_maintenance(previous, cold)
                     self._compact_and_relocate()
@@ -259,57 +243,25 @@ class HiDeStore(RestoreMixin):
         if relocations:
             self.cache.apply_relocations(relocations)
 
-    def _queue_maintenance(self, previous: int, cold) -> None:
-        """Defer one version's filter work (caller holds the lock).
-
-        Without an executor the work waits on the synchronous queue for the
-        next :meth:`run_maintenance`; with one it is handed to the
-        background worker immediately and runs as soon as the lock frees up
-        — i.e. while the next version is being chunked and fingerprinted.
-        """
-        executor = self._maintenance_executor
-        if executor is None:
-            self._pending_maintenance.append((previous, cold))
-            return
-
-        def task() -> None:
-            with self._lock:
-                self._apply_maintenance(previous, cold)
-                self._compact_and_relocate()
-
-        executor.submit(task)
-
-    def attach_maintenance_executor(self, executor: "MaintenanceExecutor") -> None:
-        """Route future deferred maintenance through a background executor."""
-        self._maintenance_executor = executor
-
     def run_maintenance(self) -> int:
         """Process all queued demotions/recipe updates, then compact.
 
-        Returns the number of versions whose maintenance was performed
-        (including background tasks waited for).  This is the drain
-        barrier: when it returns, no filter work is pending or in flight.
-        Idempotent; a no-op when nothing is queued.
+        Returns the number of versions whose maintenance was performed.
+        This is the drain barrier: when it returns, no filter work is
+        pending.  Idempotent; a no-op when nothing is queued.
         """
-        processed = 0
-        if self._maintenance_executor is not None:
-            processed += self._maintenance_executor.drain()
         with self._lock:
             pending, self._pending_maintenance = self._pending_maintenance, []
             for previous, cold in pending:
                 self._apply_maintenance(previous, cold)
-                processed += 1
             if pending:
                 self._compact_and_relocate()
-        return processed
+        return len(pending)
 
     @property
     def pending_maintenance(self) -> int:
-        """Number of versions whose filter work is still queued/in flight."""
-        queued = len(self._pending_maintenance)
-        if self._maintenance_executor is not None:
-            queued += self._maintenance_executor.pending
-        return queued
+        """Number of versions whose filter work is still queued."""
+        return len(self._pending_maintenance)
 
     # ------------------------------------------------------------------
     # Reopening a retired store

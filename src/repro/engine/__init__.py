@@ -1,17 +1,17 @@
-"""Pipelined, parallel backup ingest (the paper's §5.4 made concrete).
+"""Parallel backup ingest and restore (the paper's §5.4 made concrete).
 
 The serial systems model *what* HiDeStore stores; this package models
-*how fast* it can ingest: chunking + fingerprinting fan out over a worker
-pool (:class:`ParallelChunkPipeline`), filter maintenance runs on a
-background executor (:class:`MaintenanceExecutor`), and container writes
-detach onto a write-behind thread (:class:`WriteBehindContainerStore`).
-:class:`PipelinedIngestEngine` composes all three behind the ordinary
-:class:`~repro.pipeline.base.BackupEngine` surface.
+*how fast* it can move bytes.  On ingest, one chunking contract serves
+every mode: the byte stream is cut into fixed-size segments
+(:func:`iter_segments`) and each segment is chunked + fingerprinted
+independently — inline (:func:`chunk_segment`) or on a
+:class:`SharedChunkPool` of worker processes — so recipes are
+byte-identical at any worker count.  On restore, a prefetching container
+reader pool (:func:`restore_stream`) overlaps container I/O with
+reassembly.  Filter maintenance stays HiDeStore's own synchronous
+``deferred_maintenance`` queue.
 """
 
-from .ingest import PipelinedIngestEngine, build_engine
-from .maintenance import MaintenanceExecutor
-from .pipeline import LazyBackupStream, ParallelChunkPipeline
 from .restore import PipelinedRestoreEngine, execute_plan_prefetched, restore_stream
 from .shared_pool import (
     SEGMENT_BYTES,
@@ -21,22 +21,14 @@ from .shared_pool import (
     iter_segments,
     sweep_orphaned_segments,
 )
-from .writer import WriteBehindContainerStore, install_write_behind
 
 __all__ = [
     "IngestPoolError",
-    "LazyBackupStream",
-    "MaintenanceExecutor",
-    "ParallelChunkPipeline",
-    "PipelinedIngestEngine",
     "PipelinedRestoreEngine",
     "SEGMENT_BYTES",
     "SharedChunkPool",
-    "WriteBehindContainerStore",
-    "build_engine",
     "chunk_segment",
     "execute_plan_prefetched",
-    "install_write_behind",
     "iter_segments",
     "restore_stream",
     "sweep_orphaned_segments",

@@ -1,6 +1,6 @@
 """The pipelined restore engine: prefetched container reads, ordered output.
 
-The write twin of :class:`~repro.engine.ingest.PipelinedIngestEngine`.
+The read twin of the shared chunking pool (:mod:`repro.engine.shared_pool`).
 A restore plan (:mod:`repro.restore.scheduler`) names which containers to
 read and which recipe slots each read serves; this module executes such a
 plan with a **prefetching container reader pool** — N worker threads issue
@@ -273,7 +273,7 @@ def restore_stream(
 
 
 class PipelinedRestoreEngine:
-    """A restore-side façade mirroring :class:`PipelinedIngestEngine`.
+    """A restore-side façade over any backup engine.
 
     Wraps any :class:`~repro.pipeline.base.BackupEngine` and serves its
     ``restore_chunks`` / ``restore_entry_range`` / ``restore`` surface

@@ -1,10 +1,9 @@
-"""The daemon-lifetime multiprocess ingest plane: one shared chunking pool.
+"""The multiprocess ingest plane: one shared chunking pool.
 
-The per-backup pools of :mod:`.pipeline` are the wrong shape for a
-multi-tenant daemon: every backup paid pool startup, and payloads crossed
-into workers as pickled copies.  This module provides the replacement —
-one :class:`SharedChunkPool` owned by the daemon for its whole lifetime
-and shared by every tenant/session:
+Every parallel backup chunks through a :class:`SharedChunkPool`.  The
+daemon owns one for its whole lifetime and shares it across every
+tenant/session; a local ``hidestore backup --workers N`` opens one for
+the duration of the command.  Either way:
 
 * **Shared-memory handoff.**  Ingest payloads are packed into fixed-size
   segments and written into ``multiprocessing.shared_memory`` slabs; a
@@ -23,9 +22,10 @@ and shared by every tenant/session:
   descriptors (their slabs still hold the payloads) up to
   ``max_retries`` times before surfacing a typed error — at which point
   the repository's rollback guard discards the partial version.
-* **Orphan sweep.**  Slab names embed the owning PID; on daemon startup
-  :func:`sweep_orphaned_segments` unlinks ``/dev/shm`` segments whose
-  owner died without cleanup (a SIGKILL'd daemon, an OOM'd test run).
+* **Orphan sweep.**  Slab names embed the owning PID; before opening a
+  pool, :func:`sweep_orphaned_segments` unlinks ``/dev/shm`` segments whose
+  owner died without cleanup (a SIGKILL'd daemon or CLI, an OOM'd test
+  run).
 
 Observability (all in the shared metrics registry):
 

@@ -41,8 +41,7 @@ class BackupEngine(Protocol):
     """What every backup scheme exposes, whatever its internals.
 
     Both :class:`~repro.pipeline.system.BackupSystem` and
-    :class:`~repro.core.hidestore.HiDeStore` satisfy this protocol, as does
-    :class:`~repro.engine.ingest.PipelinedIngestEngine`, which wraps either.
+    :class:`~repro.core.hidestore.HiDeStore` satisfy this protocol.
     ``isinstance(system, BackupEngine)`` checks are supported.
     """
 

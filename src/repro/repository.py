@@ -233,13 +233,11 @@ class LocalRepository:
         root: repository directory (created on first backup).
         history_depth: fingerprint-cache look-back for new repositories.
         compress: zlib-compress container files on disk.
-        workers / pipeline: parallel-ingest knobs for :meth:`backup_tree`
-            (forwarded to the §5.4 engine; the server keeps the defaults).
         metrics: registry for stage-timing histograms (chunking, dedup,
             restore); defaults to the process registry.
-        ingest_pool: a daemon-lifetime
-            :class:`~repro.engine.shared_pool.SharedChunkPool`; when set,
-            :meth:`backup_blocks` chunks its segments on the shared pool
+        ingest_pool: a :class:`~repro.engine.shared_pool.SharedChunkPool`
+            (the daemon's, or one opened by ``backup --workers N``); when
+            set, :meth:`backup_blocks` chunks its segments on the pool
             instead of inline.  The chunk sequence is byte-identical
             either way (see the determinism contract in that module).
 
@@ -254,16 +252,12 @@ class LocalRepository:
         root: str,
         history_depth: int = 1,
         compress: bool = False,
-        workers: int = 1,
-        pipeline: bool = False,
         metrics: Optional[MetricsRegistry] = None,
         ingest_pool=None,
     ) -> None:
         self.root = root
         self.history_depth = history_depth
         self.compress = compress
-        self.workers = workers
-        self.pipeline = pipeline
         self.ingest_pool = ingest_pool
         self.metrics = metrics if metrics is not None else get_registry()
         self.storage = RepoStorage(root, compress=compress, metrics=self.metrics)
@@ -325,10 +319,6 @@ class LocalRepository:
             store._retired = False
         return store
 
-    def _manifest_path(self, version_id: int) -> str:
-        """Manifest file path (plain-directory repositories only)."""
-        return os.path.join(repo_paths(self.root)[2], f"manifest-{version_id:08d}.txt")
-
     def _save_checkpoint(self, store: HiDeStore) -> None:
         self.storage.write_checkpoint_document(checkpoint_document(store))
 
@@ -337,11 +327,7 @@ class LocalRepository:
     # ------------------------------------------------------------------
     def backup_tree(self, entries: List[Tuple[str, str]], tag: str = "") -> Dict:
         """Back up files from disk ((rel, path) rows, see :func:`read_tree`)."""
-        plan: FilePlan = [
-            (validate_rel_name(rel), os.path.getsize(path)) for rel, path in entries
-        ]
-        if self.workers > 1 or self.pipeline:
-            return self._backup_pipelined(entries, plan, tag)
+        plan: FilePlan = [(rel, os.path.getsize(path)) for rel, path in entries]
         return self.backup_blocks(stream_blocks(entries), plan, tag)
 
     def backup_blocks(self, blocks: Iterable[bytes], plan: FilePlan, tag: str = "") -> Dict:
@@ -349,21 +335,22 @@ class LocalRepository:
 
         ``plan`` carries the file boundaries for the manifest; the blocks
         are the concatenation of those files, in order (any block sizing).
-        This is the entry point the network daemon feeds frames into:
-        chunking + fingerprinting run lazily, so ingest overlaps with frame
-        arrival instead of buffering the whole version first.
+        This is the only ingest path: :meth:`backup_tree` feeds it file
+        blocks and the network daemon feeds it frames.  Chunking +
+        fingerprinting run lazily, so ingest overlaps with block arrival
+        instead of buffering the whole version first.
 
         The stream is re-framed into fixed-size ingest segments
         (:func:`~repro.engine.shared_pool.iter_segments`); each segment is
         chunked independently with the vectorized FastCDC kernel — inline
-        here, or on the daemon's shared multiprocess pool when
-        ``ingest_pool`` is wired in.  Segmentation depends only on the
-        byte stream, so every execution mode (serial, 1..N pool workers,
-        thread pool) produces byte-identical recipes, containers and
-        dedup stats.
+        here, or on a shared multiprocess pool when ``ingest_pool`` is
+        wired in.  Segmentation depends only on the byte stream, so every
+        execution mode (serial, ``backup --workers N``, the daemon at any
+        ``--ingest-workers``) produces byte-identical recipes, containers
+        and dedup stats.
         """
         from .chunking.fingerprint import Fingerprinter
-        from .engine.pipeline import LazyBackupStream
+        from .chunking.stream import LazyBackupStream
         from .engine.shared_pool import chunk_segment, iter_segments
 
         plan = [(validate_rel_name(rel), int(size)) for rel, size in plan]
@@ -402,46 +389,6 @@ class LocalRepository:
         self.metrics.observe("repo.chunking_seconds", timings["chunking"])
         self.metrics.observe("repo.dedup_seconds", max(0.0, total - timings["chunking"]))
         return report
-
-    def _backup_pipelined(self, entries, plan: FilePlan, tag: str) -> Dict:
-        from .engine import (
-            MaintenanceExecutor,
-            ParallelChunkPipeline,
-            install_write_behind,
-        )
-
-        store = self._open_for_backup()
-        write_behind = None
-        executor = None
-        if self.pipeline:
-            write_behind = install_write_behind(store)
-            executor = MaintenanceExecutor()
-            store.deferred_maintenance = True
-            store.attach_maintenance_executor(executor)
-
-        def items() -> Iterator[bytes]:
-            for _rel, path in entries:
-                with open(path, "rb") as handle:
-                    yield handle.read()
-
-        chunker = FastCDCChunker()
-        try:
-
-            def run():
-                with ParallelChunkPipeline(chunker=chunker, workers=self.workers) as pipe:
-                    return store.backup(pipe.stream(items(), tag=tag or ""))
-
-            # save_checkpoint (inside the guard) drains queued maintenance,
-            # so the background executor is idle by the time it is closed.
-            started = time.perf_counter()
-            report = self._guarded_backup(store, run, plan)
-            self.metrics.observe("repo.backup_seconds", time.perf_counter() - started)
-            return report
-        finally:
-            if executor is not None:
-                executor.close()
-            if write_behind is not None:
-                write_behind.close()
 
     def _guarded_backup(self, store: HiDeStore, run, plan: FilePlan) -> Dict:
         """Run one backup attempt; on any failure, roll the repo back."""

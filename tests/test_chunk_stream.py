@@ -5,6 +5,7 @@ import pytest
 from repro.chunking.stream import (
     BackupStream,
     Chunk,
+    LazyBackupStream,
     concat_stream_bytes,
     synthetic_fingerprint,
 )
@@ -116,6 +117,30 @@ class TestBackupStream:
             synthetic_fingerprint(3),
             synthetic_fingerprint(1),
         ]
+
+
+class TestLazyBackupStream:
+    def _stream(self, tag=""):
+        chunks = iter([Chunk(b"\x05" * 20, 3, b"abc"), Chunk(b"\x06" * 20, 2, b"de")])
+        return LazyBackupStream(chunks, tag=tag)
+
+    def test_single_pass(self):
+        stream = self._stream(tag="v1")
+        assert stream.tag == "v1"
+        assert concat_stream_bytes(stream) == b"abcde"
+        with pytest.raises(RuntimeError):
+            iter(stream)
+
+    def test_has_no_length_or_random_access(self):
+        stream = self._stream()
+        with pytest.raises(TypeError):
+            len(stream)
+        with pytest.raises(RuntimeError):
+            stream.chunks
+        with pytest.raises(RuntimeError):
+            stream[0]
+        # list() probes len() for a size hint; the TypeError keeps it working.
+        assert [c.size for c in stream] == [3, 2]
 
 
 class TestConcatStreamBytes:

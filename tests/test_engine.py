@@ -1,11 +1,11 @@
-"""Tests for the pipelined parallel ingest engine (src/repro/engine/).
+"""Tests for the parallel ingest plane (src/repro/engine/).
 
 Covers the vectorized FastCDC kernel's exact equivalence with the scalar
-chunker, order preservation and determinism of the parallel pipeline,
-engine-level parallel-vs-serial equivalence (identical recipes, dedup
-ratios and byte-identical restores for HiDeStore *and* a traditional DDFS
-baseline), the background-maintenance drain barrier, and the write-behind
-container store.
+chunker, the shared chunking pool's determinism (pooled chunking equals
+inline chunking, and backs up into identical recipes, dedup ratios and
+byte-identical restores for HiDeStore *and* a traditional DDFS baseline),
+its crash-safe respawn and slab hygiene, and the same contract at the
+repository layer.
 """
 
 import os
@@ -18,20 +18,12 @@ import time
 import pytest
 
 from repro.chunking import FastCDCChunker, Fingerprinter
-from repro.chunking.stream import concat_stream_bytes
+from repro.chunking.stream import BackupStream, concat_stream_bytes
 from repro.chunking.vectorized import HAVE_NUMPY, split_fast, vector_cuts
-from repro.core import HiDeStore
 from repro.engine import (
     IngestPoolError,
-    LazyBackupStream,
-    MaintenanceExecutor,
-    ParallelChunkPipeline,
-    PipelinedIngestEngine,
     SharedChunkPool,
-    WriteBehindContainerStore,
-    build_engine,
     chunk_segment,
-    install_write_behind,
     iter_segments,
     sweep_orphaned_segments,
 )
@@ -108,321 +100,18 @@ class TestVectorizedCuts:
 
 
 # ----------------------------------------------------------------------
-# Parallel chunk pipeline
-# ----------------------------------------------------------------------
-class TestParallelChunkPipeline:
-    def test_thread_pool_matches_serial(self):
-        items = _versions()[0]
-        serial = list(ParallelChunkPipeline(_chunker(), workers=1).iter_chunks(items))
-        with ParallelChunkPipeline(_chunker(), workers=4, executor="thread") as pipe:
-            parallel = list(pipe.iter_chunks(items))
-        assert serial == parallel
-
-    def test_process_pool_matches_serial(self):
-        items = _versions(items=3)[0]
-        serial = list(ParallelChunkPipeline(_chunker(), workers=1).iter_chunks(items))
-        with ParallelChunkPipeline(_chunker(), workers=2, executor="process") as pipe:
-            parallel = list(pipe.iter_chunks(items))
-        assert serial == parallel
-
-    def test_order_preserved_with_unequal_items(self):
-        rng = random.Random(3)
-        items = [rng.randbytes(rng.randrange(1, 40 * KiB)) for _ in range(24)]
-        serial = list(ParallelChunkPipeline(_chunker(), workers=1).iter_chunks(items))
-        with ParallelChunkPipeline(_chunker(), workers=4, executor="thread") as pipe:
-            parallel = list(pipe.iter_chunks(items))
-        assert serial == parallel
-        assert b"".join(c.data for c in parallel) == b"".join(items)
-
-    def test_lazy_stream_is_single_pass(self):
-        pipe = ParallelChunkPipeline(_chunker(), workers=1)
-        stream = pipe.stream([b"x" * 4096], tag="v1")
-        assert isinstance(stream, LazyBackupStream)
-        assert list(stream)
-        with pytest.raises(RuntimeError):
-            iter(stream)
-        fresh = pipe.stream([b"x" * 4096])
-        with pytest.raises(TypeError):
-            len(fresh)
-        with pytest.raises(RuntimeError):
-            fresh.chunks
-
-    def test_materialize_is_reiterable(self):
-        pipe = ParallelChunkPipeline(_chunker(), workers=1)
-        stream = pipe.materialize([b"y" * 4096], tag="v1")
-        assert list(stream) == list(stream)
-        assert len(stream) > 0
-
-    def test_invalid_configuration(self):
-        with pytest.raises(ValueError):
-            ParallelChunkPipeline(workers=0)
-        with pytest.raises(ValueError):
-            ParallelChunkPipeline(executor="fiber")
-        with pytest.raises(ValueError):
-            ParallelChunkPipeline(queue_depth=0)
-
-    def test_fingerprinter_is_picklable(self):
-        import pickle
-
-        fp = Fingerprinter("sha256", width=16)
-        clone = pickle.loads(pickle.dumps(fp))
-        assert clone.fingerprint(b"abc") == fp.fingerprint(b"abc")
-
-
-# ----------------------------------------------------------------------
-# Engine-level parallel-vs-serial equivalence
+# Every engine is interchangeable behind the BackupEngine protocol
 # ----------------------------------------------------------------------
 class TestEngineEquivalence:
-    @pytest.mark.parametrize("scheme", ["hidestore", "ddfs"])
-    def test_parallel_matches_serial(self, scheme):
-        versions = _versions()
-        serial = build_engine(scheme, workers=1, chunker=_chunker(), container_size=CONTAINER)
-        parallel = build_engine(
-            scheme, workers=4, executor="thread", chunker=_chunker(), container_size=CONTAINER
-        )
-        for i, items in enumerate(versions):
-            serial.ingest(items, tag=f"v{i + 1}")
-            parallel.ingest(items, tag=f"v{i + 1}")
-        assert serial.dedup_ratio == parallel.dedup_ratio
-        for vid in serial.version_ids():
-            s_recipe = serial.recipes.peek(vid)
-            p_recipe = parallel.recipes.peek(vid)
-            assert [e.fingerprint for e in s_recipe.entries] == [
-                e.fingerprint for e in p_recipe.entries
-            ]
-            assert concat_stream_bytes(serial.restore_chunks(vid)) == concat_stream_bytes(
-                parallel.restore_chunks(vid)
-            )
-        parallel.close()
+    def test_engine_satisfies_protocol(self, tmp_path):
+        """The file-backed HiDeStore that LocalRepository drives."""
+        from repro.repository import open_repository
 
-    def test_full_pipeline_matches_serial(self):
-        """Write-behind + background maintenance change nothing observable."""
-        versions = _versions(seed=8)
-        serial = build_engine(
-            "hidestore", workers=1, chunker=_chunker(), container_size=CONTAINER
-        )
-        full = build_engine(
-            "hidestore",
-            workers=2,
-            executor="thread",
-            chunker=_chunker(),
-            write_behind=True,
-            background_maintenance=True,
-            container_size=CONTAINER,
-        )
-        for i, items in enumerate(versions):
-            serial.ingest(items, tag=f"v{i + 1}")
-            full.ingest(items, tag=f"v{i + 1}")
-        assert serial.dedup_ratio == full.dedup_ratio
-        for vid in serial.version_ids():
-            assert concat_stream_bytes(serial.restore_chunks(vid)) == concat_stream_bytes(
-                full.restore_chunks(vid)
-            )
-        assert serial.stored_bytes() == full.stored_bytes()
-        full.close()
-
-    def test_engine_satisfies_protocol(self):
-        engine = build_engine("hidestore", container_size=CONTAINER)
-        assert isinstance(engine, BackupEngine)
+        assert isinstance(open_repository(str(tmp_path / "repo")), BackupEngine)
 
     def test_every_scheme_satisfies_protocol(self):
         for name in SCHEMES:
             assert isinstance(build_scheme(name, container_size=CONTAINER), BackupEngine), name
-
-
-# ----------------------------------------------------------------------
-# Background maintenance executor
-# ----------------------------------------------------------------------
-class TestMaintenanceExecutor:
-    def test_drain_is_a_barrier(self):
-        import threading
-
-        executor = MaintenanceExecutor()
-        gate = threading.Event()
-        done = []
-        executor.submit(lambda: (gate.wait(5), done.append(1)))
-        executor.submit(lambda: done.append(2))
-        assert executor.pending == 2
-        gate.set()
-        assert executor.drain() == 2
-        assert done == [1, 2]
-        assert executor.pending == 0
-        executor.close()
-
-    def test_drain_reraises_task_error(self):
-        executor = MaintenanceExecutor()
-
-        def boom():
-            raise ValueError("maintenance failed")
-
-        executor.submit(boom)
-        with pytest.raises(ValueError, match="maintenance failed"):
-            executor.drain()
-        assert executor.drain() == 0  # errors don't repeat
-        executor.close()
-
-    def test_closed_executor_rejects_submissions(self):
-        executor = MaintenanceExecutor()
-        executor.close()
-        executor.close()  # idempotent
-        with pytest.raises(RuntimeError):
-            executor.submit(lambda: None)
-
-    def test_background_maintenance_drains_before_restore(self):
-        versions = _versions(seed=13)
-        executor = MaintenanceExecutor()
-        system = HiDeStore(
-            container_size=CONTAINER,
-            deferred_maintenance=True,
-            maintenance_executor=executor,
-        )
-        pipe = ParallelChunkPipeline(_chunker(), workers=1)
-        for i, items in enumerate(versions):
-            system.backup(pipe.stream(items, tag=f"v{i + 1}"))
-        # The restore path must drain in-flight maintenance before reading.
-        restored = concat_stream_bytes(system.restore_chunks(1))
-        assert restored == b"".join(versions[0])
-        assert system.pending_maintenance == 0
-        executor.close()
-
-    def test_background_maintenance_drains_before_delete(self):
-        versions = _versions(seed=21, versions=4)
-        executor = MaintenanceExecutor()
-        system = HiDeStore(
-            container_size=CONTAINER,
-            deferred_maintenance=True,
-            maintenance_executor=executor,
-        )
-        pipe = ParallelChunkPipeline(_chunker(), workers=1)
-        for i, items in enumerate(versions):
-            system.backup(pipe.stream(items, tag=f"v{i + 1}"))
-        stats = system.delete_oldest()
-        assert system.pending_maintenance == 0
-        assert stats.versions_deleted == 1
-        assert 1 not in system.version_ids()
-        executor.close()
-
-    def test_equivalent_to_synchronous_deferred(self):
-        """Async execution must be state-identical to the sync queue."""
-        versions = _versions(seed=34)
-        executor = MaintenanceExecutor()
-        background = HiDeStore(
-            container_size=CONTAINER,
-            deferred_maintenance=True,
-            maintenance_executor=executor,
-        )
-        synchronous = HiDeStore(container_size=CONTAINER, deferred_maintenance=True)
-        pipe = ParallelChunkPipeline(_chunker(), workers=1)
-        for i, items in enumerate(versions):
-            background.backup(pipe.stream(items, tag=f"v{i + 1}"))
-            synchronous.backup(pipe.stream(items, tag=f"v{i + 1}"))
-        background.run_maintenance()
-        synchronous.run_maintenance()
-        assert background.stored_bytes() == synchronous.stored_bytes()
-        assert background.dedup_ratio == synchronous.dedup_ratio
-        for vid in background.version_ids():
-            assert concat_stream_bytes(background.restore_chunks(vid)) == concat_stream_bytes(
-                synchronous.restore_chunks(vid)
-            )
-        executor.close()
-
-
-# ----------------------------------------------------------------------
-# Write-behind container store
-# ----------------------------------------------------------------------
-class TestWriteBehindStore:
-    def test_install_and_flush(self):
-        system = HiDeStore(container_size=CONTAINER)
-        wrapper = install_write_behind(system)
-        assert system.containers is wrapper
-        assert system.pool.store is wrapper
-        assert system.deletion.containers is wrapper
-        versions = _versions(seed=55)
-        pipe = ParallelChunkPipeline(_chunker(), workers=1)
-        for i, items in enumerate(versions):
-            system.backup(pipe.stream(items, tag=f"v{i + 1}"))
-        for vid in system.version_ids():
-            assert concat_stream_bytes(system.restore_chunks(vid)) == b"".join(
-                versions[vid - 1]
-            )
-        wrapper.close()
-
-    def test_reads_flush_pending_writes(self):
-        inner_system = build_scheme("ddfs", container_size=CONTAINER)
-        wrapper = WriteBehindContainerStore(inner_system.containers)
-        container = wrapper.allocate()
-        fp = Fingerprinter()
-        container.add(fp.chunk(b"z" * 1024))
-        wrapper.write(container)
-        # container_ids flushes first, so the write is always visible.
-        assert container.container_id in wrapper.container_ids()
-        assert container.container_id in wrapper
-        assert wrapper.stored_bytes() == 1024
-        wrapper.close()
-
-    def test_background_write_error_surfaces_on_flush(self):
-        inner_system = build_scheme("ddfs", container_size=CONTAINER)
-        wrapper = WriteBehindContainerStore(inner_system.containers)
-        container = wrapper.allocate()
-        container.add(Fingerprinter().chunk(b"q" * 512))
-        wrapper.write(container)
-        wrapper.flush()
-        duplicate = wrapper.inner.peek(container.container_id)
-        wrapper.write(duplicate)  # inner store rejects duplicate IDs
-        with pytest.raises(Exception):
-            wrapper.flush()
-        wrapper.close()
-
-    def test_closed_store_rejects_writes(self):
-        inner_system = build_scheme("ddfs", container_size=CONTAINER)
-        wrapper = WriteBehindContainerStore(inner_system.containers)
-        wrapper.close()
-        with pytest.raises(RuntimeError):
-            wrapper.write(wrapper.allocate())
-
-
-# ----------------------------------------------------------------------
-# PipelinedIngestEngine surface
-# ----------------------------------------------------------------------
-class TestPipelinedIngestEngine:
-    def test_backup_accepts_prechunked_stream(self):
-        engine = build_engine("hidestore", container_size=CONTAINER)
-        stream = _chunker().chunk_stream([b"w" * 100_000], tag="v1")
-        report = engine.backup(stream)
-        assert report.total_chunks == len(stream)
-
-    def test_context_manager_closes(self):
-        with build_engine(
-            "hidestore",
-            workers=2,
-            executor="thread",
-            chunker=_chunker(),
-            write_behind=True,
-            background_maintenance=True,
-            container_size=CONTAINER,
-        ) as engine:
-            engine.ingest(_versions()[0], tag="v1")
-            assert engine.version_ids() == [1]
-        # close() ran: further maintenance submissions must be rejected.
-        with pytest.raises(RuntimeError):
-            engine.maintenance.submit(lambda: None)
-
-    def test_restore_entry_range_joins_first(self):
-        engine = build_engine(
-            "hidestore",
-            chunker=_chunker(),
-            background_maintenance=True,
-            container_size=CONTAINER,
-        )
-        versions = _versions(seed=77)
-        for i, items in enumerate(versions):
-            engine.ingest(items, tag=f"v{i + 1}")
-        recipe = engine.recipes.peek(1)
-        partial = list(engine.restore_entry_range(1, 0, 5))
-        assert [c.fingerprint for c in partial] == [
-            e.fingerprint for e in recipe.entries[:5]
-        ]
-        engine.close()
 
 
 # ----------------------------------------------------------------------
@@ -470,17 +159,39 @@ class TestSharedChunkPool:
         assert b"".join(segmented[0]) == payload
 
     @pytest.mark.parametrize(
-        "workers,executor", [(1, "process"), (4, "process"), (2, "thread")]
+        "workers,executor,scheme",
+        [
+            pytest.param(1, "process", "hidestore", id="1-process"),
+            pytest.param(4, "process", "hidestore", id="4-process"),
+            pytest.param(2, "thread", "hidestore", id="2-thread"),
+            pytest.param(4, "thread", "ddfs", id="4-thread-ddfs"),
+        ],
     )
-    def test_pool_matches_inline_chunking(self, workers, executor):
-        blocks = _blocks()
+    def test_pool_matches_inline_chunking(self, workers, executor, scheme):
+        """Pooled chunking equals inline chunking, chunk for chunk, and
+        backs up into identical recipes and restores on any scheme."""
+        versions = _versions()
+        pooled_system = build_scheme(scheme, container_size=CONTAINER)
+        inline_system = build_scheme(scheme, container_size=CONTAINER)
         with _pool(workers, executor) as pool:
-            pooled = [c for batch in pool.chunk_blocks(blocks) for c in batch]
-        inline = _inline_chunks(blocks)
-        assert [(c.fingerprint, c.size) for c in pooled] == [
-            (c.fingerprint, c.size) for c in inline
-        ]
-        assert b"".join(c.data for c in pooled) == b"".join(blocks)
+            for i, blocks in enumerate(versions):
+                pooled = [c for batch in pool.chunk_blocks(blocks) for c in batch]
+                inline = _inline_chunks(blocks)
+                assert [(c.fingerprint, c.size) for c in pooled] == [
+                    (c.fingerprint, c.size) for c in inline
+                ]
+                assert b"".join(c.data for c in pooled) == b"".join(blocks)
+                pooled_system.backup(BackupStream(pooled, tag=f"v{i + 1}"))
+                inline_system.backup(BackupStream(inline, tag=f"v{i + 1}"))
+        assert pooled_system.dedup_ratio == inline_system.dedup_ratio
+        assert pooled_system.dedup_ratio > 0  # the churn actually deduped
+        for vid in inline_system.version_ids():
+            assert [e.fingerprint for e in pooled_system.recipes.peek(vid).entries] == [
+                e.fingerprint for e in inline_system.recipes.peek(vid).entries
+            ]
+            assert concat_stream_bytes(pooled_system.restore_chunks(vid)) == b"".join(
+                versions[vid - 1]
+            )
 
     def test_pool_records_stage_metrics(self):
         metrics = MetricsRegistry()

@@ -13,6 +13,14 @@ from repro.errors import ChunkingError
 
 
 class TestFingerprinter:
+    def test_fingerprinter_is_picklable(self):
+        # Chunking-pool workers receive the fingerprinter by pickle.
+        import pickle
+
+        fp = Fingerprinter("sha256", width=16)
+        clone = pickle.loads(pickle.dumps(fp))
+        assert clone.fingerprint(b"abc") == fp.fingerprint(b"abc")
+
     def test_default_is_sha1_20_bytes(self):
         data = b"hello world"
         assert DEFAULT_FINGERPRINTER.fingerprint(data) == hashlib.sha1(data).digest()
