@@ -103,6 +103,28 @@ class TestVectorizedCuts:
 # Every engine is interchangeable behind the BackupEngine protocol
 # ----------------------------------------------------------------------
 class TestEngineEquivalence:
+    @pytest.mark.parametrize("scheme", ["hidestore", "ddfs"])
+    def test_parallel_matches_serial(self, scheme):
+        """Chunks cut by a worker pool back up into the same recipes,
+        dedup ratio and restores as chunks cut inline, on any scheme."""
+        versions = _versions()
+        serial = build_scheme(scheme, container_size=CONTAINER)
+        parallel = build_scheme(scheme, container_size=CONTAINER)
+        with _pool(4, "thread") as pool:
+            for i, blocks in enumerate(versions):
+                pooled = [c for batch in pool.chunk_blocks(blocks) for c in batch]
+                serial.backup(BackupStream(_inline_chunks(blocks), tag=f"v{i + 1}"))
+                parallel.backup(BackupStream(pooled, tag=f"v{i + 1}"))
+        assert serial.dedup_ratio == parallel.dedup_ratio
+        assert serial.dedup_ratio > 0  # the churn actually deduped
+        for vid in serial.version_ids():
+            assert [e.fingerprint for e in serial.recipes.peek(vid).entries] == [
+                e.fingerprint for e in parallel.recipes.peek(vid).entries
+            ]
+            assert concat_stream_bytes(parallel.restore_chunks(vid)) == b"".join(
+                versions[vid - 1]
+            )
+
     def test_engine_satisfies_protocol(self, tmp_path):
         """The file-backed HiDeStore that LocalRepository drives."""
         from repro.repository import open_repository
@@ -159,39 +181,17 @@ class TestSharedChunkPool:
         assert b"".join(segmented[0]) == payload
 
     @pytest.mark.parametrize(
-        "workers,executor,scheme",
-        [
-            pytest.param(1, "process", "hidestore", id="1-process"),
-            pytest.param(4, "process", "hidestore", id="4-process"),
-            pytest.param(2, "thread", "hidestore", id="2-thread"),
-            pytest.param(4, "thread", "ddfs", id="4-thread-ddfs"),
-        ],
+        "workers,executor", [(1, "process"), (4, "process"), (2, "thread")]
     )
-    def test_pool_matches_inline_chunking(self, workers, executor, scheme):
-        """Pooled chunking equals inline chunking, chunk for chunk, and
-        backs up into identical recipes and restores on any scheme."""
-        versions = _versions()
-        pooled_system = build_scheme(scheme, container_size=CONTAINER)
-        inline_system = build_scheme(scheme, container_size=CONTAINER)
+    def test_pool_matches_inline_chunking(self, workers, executor):
+        blocks = _blocks()
         with _pool(workers, executor) as pool:
-            for i, blocks in enumerate(versions):
-                pooled = [c for batch in pool.chunk_blocks(blocks) for c in batch]
-                inline = _inline_chunks(blocks)
-                assert [(c.fingerprint, c.size) for c in pooled] == [
-                    (c.fingerprint, c.size) for c in inline
-                ]
-                assert b"".join(c.data for c in pooled) == b"".join(blocks)
-                pooled_system.backup(BackupStream(pooled, tag=f"v{i + 1}"))
-                inline_system.backup(BackupStream(inline, tag=f"v{i + 1}"))
-        assert pooled_system.dedup_ratio == inline_system.dedup_ratio
-        assert pooled_system.dedup_ratio > 0  # the churn actually deduped
-        for vid in inline_system.version_ids():
-            assert [e.fingerprint for e in pooled_system.recipes.peek(vid).entries] == [
-                e.fingerprint for e in inline_system.recipes.peek(vid).entries
-            ]
-            assert concat_stream_bytes(pooled_system.restore_chunks(vid)) == b"".join(
-                versions[vid - 1]
-            )
+            pooled = [c for batch in pool.chunk_blocks(blocks) for c in batch]
+        inline = _inline_chunks(blocks)
+        assert [(c.fingerprint, c.size) for c in pooled] == [
+            (c.fingerprint, c.size) for c in inline
+        ]
+        assert b"".join(c.data for c in pooled) == b"".join(blocks)
 
     def test_pool_records_stage_metrics(self):
         metrics = MetricsRegistry()
